@@ -17,7 +17,7 @@ from .complexes import ColoredComplex, InvalidComplexError, f_vector, from_dict,
 from .complexes import flag_vectors
 from .homology import DEFAULT_FIELD, FieldSpec, reduced_betti
 from .inequalities import balanced_g
-from .sr_algebra import colored_lsop, draw_verified_lsop, quotient_hilbert
+from .sr_algebra import GenericityError, colored_lsop, draw_verified_lsop, quotient_hilbert
 
 
 class CliError(Exception):
@@ -148,7 +148,7 @@ def cmd_compute(args) -> int:
         else:
             try:
                 forms, _, _ = draw_verified_lsop(g, seed=args.seed or 1, fld=fld)
-            except Exception as e:
+            except GenericityError as e:
                 raise CliError("generic draw failed: %s" % e)
         up_to = args.truncation if args.truncation is not None else g.palette + 1
         dims = quotient_hilbert(g, forms, up_to, fld)

@@ -151,6 +151,18 @@ class ColoredComplex:
     def is_balanced(self) -> bool:
         return self.coloring.palette == self.complex.dim + 1
 
+    @ft.cached_property
+    def selection_h(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """h of every rank selection w.r.t. #T, keyed by the sorted color
+        tuple T; see selection_h_vectors."""
+        return selection_h_vectors(self)
+
+    @ft.cached_property
+    def link_h(self) -> tuple[tuple[int, ...], ...]:
+        """h of each vertex link w.r.t. palette - 1; entry v - 1 is lk(v)."""
+        return tuple(h_vector(colored_link(self, (v,))[0].complex, self.palette - 1)
+                     for v in range(1, self.n + 1))
+
 
 def from_facets(facets, n: int | None = None, *, shrink: bool = False) -> SimplicialComplex:
     """Build a complex from a facet list, pruning contained faces.
@@ -185,14 +197,20 @@ def from_facets(facets, n: int | None = None, *, shrink: bool = False) -> Simpli
         cleaned = [tuple(relabel[v] for v in f) for f in cleaned]
         n = len(covered)
 
-    masks = [mask_of(f) for f in cleaned]
-    keep = []
-    for i, m in enumerate(masks):
-        if any(j != i and m != masks[j] and (m & masks[j]) == m for j in range(len(masks))):
-            continue
-        keep.append(cleaned[i])
-    keep = sorted(set(keep))
+    keep = sorted(verts_of(m) for m in _maximal(mask_of(f) for f in cleaned))
     return SimplicialComplex(n=n, facets=tuple(keep))
+
+
+def _maximal(masks) -> list[int]:
+    """The inclusion-maximal members of a family of vertex masks, each once.
+
+    Masks are visited largest first, so anything containing a mask is
+    already kept when that mask is reached."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if not any(m & k == m for k in kept):
+            kept.append(m)
+    return kept
 
 
 def empty_complex() -> SimplicialComplex:
@@ -234,20 +252,10 @@ def h_vector(delta: SimplicialComplex, d: int | None = None) -> tuple[int, ...]:
 
 
 def _restrict(masks, keep_vertices: tuple[int, ...]) -> SimplicialComplex:
-    """Relabel a face family onto 1..m (order preserving) and re-maximalize."""
+    """Re-maximalize a face family and relabel it onto 1..m (order preserving)."""
     relabel = {v: i + 1 for i, v in enumerate(keep_vertices)}
-    faces = [tuple(relabel[v] for v in verts_of(m)) for m in masks]
-    if not faces:
-        faces = [()]
-    # keep only maximal members
-    face_masks = [mask_of(f) for f in faces]
-    keep = []
-    for i, m in enumerate(face_masks):
-        if any(j != i and m != face_masks[j] and (m & face_masks[j]) == m for j in range(len(face_masks))):
-            continue
-        keep.append(faces[i])
-    keep = sorted(set(keep))
-    return SimplicialComplex(n=len(keep_vertices), facets=tuple(keep))
+    keep = sorted(tuple(relabel[v] for v in verts_of(m)) for m in _maximal(masks))
+    return SimplicialComplex(n=len(keep_vertices), facets=tuple(keep or [()]))
 
 
 def link(delta: SimplicialComplex, face) -> SimplicialComplex:
@@ -316,6 +324,9 @@ def rank_select(gamma: ColoredComplex, t_colors) -> ColoredComplex:
     """Subcomplex of faces whose colors lie in T, palette relabeled to 1..#T.
 
     The original color names are kept in color_labels, order preserved.
+    The check battery reads h-vectors of rank selections from
+    ColoredComplex.selection_h and does not call this; the Lefschetz
+    certificates need the subcomplex itself.
     """
     tset = frozenset(int(c) for c in t_colors)
     unknown = tset - set(range(1, gamma.palette + 1))
@@ -327,8 +338,8 @@ def rank_select(gamma: ColoredComplex, t_colors) -> ColoredComplex:
     if not keep_vertices:
         return ColoredComplex(complex=empty_complex(), coloring=Coloring(()), color_labels=tuple(order))
     keep_mask = mask_of(keep_vertices)
-    faces = [m for m in gamma.complex.face_masks if (m & keep_mask) == m]
-    sub = _restrict(faces, keep_vertices)
+    # the facets of the selection are the maximal traces of facets on V_T
+    sub = _restrict({fm & keep_mask for fm in gamma.complex.facet_masks}, keep_vertices)
     new_colors = tuple(color_pos[gamma.coloring.of(v)] for v in keep_vertices)
     labels = tuple(gamma.color_labels[c - 1] for c in order) if gamma.color_labels else tuple(order)
     return ColoredComplex(complex=sub, coloring=Coloring(new_colors), color_labels=labels)
@@ -408,6 +419,23 @@ def flag_vectors(gamma: ColoredComplex, d: int | None = None) -> tuple[FlagVecto
             total += (-1) ** (len(sset) - len(t)) * fv[frozenset(t)]
         hv[sset] = total
     return FlagVector("f", d, fv), FlagVector("h", d, hv)
+
+
+def selection_h_vectors(gamma: ColoredComplex) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """h(Delta_T) w.r.t. #T for every color set T, in `subsets` order.
+
+    f_{j-1}(Delta_T) is the number of faces whose color set is a j-subset
+    of T, so one flag_vectors pass gives every selection without building
+    the subcomplexes.
+    """
+    ff, _ = flag_vectors(gamma)
+    out = {}
+    for t_cols in subsets(range(1, gamma.palette + 1)):
+        f = [0] * (len(t_cols) + 1)
+        for s in subsets(t_cols):
+            f[len(s)] += ff[s]
+        out[t_cols] = f_to_h(tuple(f), len(t_cols))
+    return out
 
 
 def to_dict(gamma, name: str = "") -> dict:

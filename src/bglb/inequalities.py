@@ -1,7 +1,10 @@
 """Balanced g-numbers and the exact combinatorial check battery.
 
 Everything here is integer arithmetic on h-vectors of the complex, its
-rank selections, and its vertex links.  Checks return CheckResult records;
+rank selections, and its vertex links.  The selection and link h-vectors
+come from the per-instance tables ColoredComplex.selection_h (one pass
+over face color sets) and ColoredComplex.link_h (one link per vertex),
+so no check rebuilds a subcomplex.  Checks return CheckResult records;
 a failing check always carries a witness with the numbers that broke it.
 Hypothesis gating (only claim what holds under a certified hypothesis)
 lives in the report layer, not here: these functions evaluate their
@@ -12,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .complexes import (ColoredComplex, InvalidComplexError, colored_link, flag_vectors,
-                        h_vector, rank_select)
+from .complexes import ColoredComplex, InvalidComplexError, flag_vectors, h_vector
 from .util import subsets
 
 _STATUSES = ("pass", "fail", "skipped")
@@ -133,12 +135,9 @@ def verify_rank_selected(gamma: ColoredComplex, instance: str = "") -> list[Chec
     """Per color subset T: h of the selected subcomplex is symmetric-
     bounded (h_i <= h_{#T-i} for i <= #T/2) and nondecreasing up to the
     middle (h_0 <= ... <= h_{floor((#T+1)/2)})."""
-    d = gamma.palette
     out = []
-    for t_cols in subsets(range(1, d + 1)):
-        sel = rank_select(gamma, t_cols)
+    for t_cols, ht in gamma.selection_h.items():
         t = len(t_cols)
-        ht = h_vector(sel.complex, t)
         params = {"T": list(t_cols)}
         details = {"h": list(ht)}
         bad = None
@@ -164,11 +163,7 @@ def verify_selection_sum(gamma: ColoredComplex, i: int, k: int, instance: str = 
         raise ValueError("need 0 <= i <= k <= d, got i=%d k=%d d=%d" % (i, k, d))
     h = h_vector(gamma.complex, d)
     lhs = comb(d - i, k - i) * h[i]
-    rhs = 0
-    for t_cols in subsets(range(1, d + 1)):
-        if len(t_cols) != k:
-            continue
-        rhs += h_vector(rank_select(gamma, t_cols).complex, k)[i]
+    rhs = sum(ht[i] for t_cols, ht in gamma.selection_h.items() if len(t_cols) == k)
     params = {"i": i, "k": k}
     if lhs != rhs:
         return CheckResult("lemma33", instance, params, "fail",
@@ -189,9 +184,7 @@ def verify_link_sum(gamma: ColoredComplex, i: int, instance: str = "") -> CheckR
     h = h_vector(gamma.complex, d)
     lhs_g = 0
     lhs_h = 0
-    for v in range(1, gamma.n + 1):
-        link, _ = colored_link(gamma, (v,))
-        hlk = h_vector(link.complex, d - 1)
+    for hlk in gamma.link_h:
         lhs_g += g_bar_at(hlk, d - 1, i) if i <= d else 0
         lhs_h += hlk[i] if i < len(hlk) else 0
     hi = h[i] if i < len(h) else 0
@@ -227,18 +220,15 @@ def equality_analysis(gamma: ColoredComplex, instance: str = "") -> CheckResult:
                                {"part": "propagation", "i": i, "g_prev": 0, "g_i": g[i]},
                                details)
     for i in zero_set:
-        for t_cols in subsets(range(1, d + 1)):
+        for t_cols, ht in gamma.selection_h.items():
             if len(t_cols) != 2 * i - 1:
                 continue
-            ht = h_vector(rank_select(gamma, t_cols).complex, 2 * i - 1)
             if ht[i] != ht[i - 1]:
                 return CheckResult("equality", instance, {}, "fail",
                                    {"part": "selection", "i": i, "T": list(t_cols),
                                     "h_i": ht[i], "h_prev": ht[i - 1]},
                                    details)
-        for v in range(1, gamma.n + 1):
-            link, _ = colored_link(gamma, (v,))
-            hlk = h_vector(link.complex, d - 1)
+        for v, hlk in enumerate(gamma.link_h, start=1):
             glk = g_bar_at(hlk, d - 1, i)
             if glk != 0:
                 return CheckResult("equality", instance, {}, "fail",

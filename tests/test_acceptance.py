@@ -227,17 +227,21 @@ def test_criterion_12_oracle_equivalence():
         for v in range(1, gamma.n + 1):
             link, labels = colored_link(gamma, (v,))
             got = {frozenset(f) for f in link.complex.faces()}
-            want = oracles.relabel_faces(oracles.link_faces(facets, (v,)), labels)
+            link_faces = oracles.link_faces(facets, (v,))
+            want = oracles.relabel_faces(link_faces, labels)
             assert got == want, (trial, v)
-            agreements += 1
+            assert gamma.link_h[v - 1] == oracles.h_vec(link_faces, d - 1), (trial, v)
+            agreements += 2
 
         for t_cols in oracles.all_subsets(range(1, d + 1)):
             sel = rank_select(gamma, t_cols)
             kept = [v for v in range(1, gamma.n + 1) if colors[v] in t_cols]
             got = {frozenset(f) for f in sel.complex.faces()}
-            want = oracles.relabel_faces(
-                oracles.rank_select_faces(facets, colors, t_cols), kept)
+            sel_faces = oracles.rank_select_faces(facets, colors, t_cols)
+            want = oracles.relabel_faces(sel_faces, kept)
             assert got == want, (trial, t_cols)
-            agreements += 1
+            want_h = oracles.h_vec(sel_faces, len(t_cols))
+            assert gamma.selection_h[tuple(sorted(t_cols))] == want_h, (trial, t_cols)
+            agreements += 2
 
     assert agreements > 500

@@ -4,9 +4,11 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from bglb import cli
 from bglb.cli import main
 from bglb.complexes import colored, from_facets, to_dict
-from bglb.generators import cross_polytope
+from bglb.generators import build, cross_polytope, default_suite_specs
+from bglb.sr_algebra import GenericityError
 
 
 def _write_instance(path, gamma, name):
@@ -109,6 +111,26 @@ def test_compute_hilbert_both_parameter_modes(oct_file, capsys):
     assert capsys.readouterr().out == "1 3 3 1 0\n"
 
 
+def test_compute_generic_draw_failure_is_operational(oct_file, capsys, monkeypatch):
+    args = ["compute", "--in", oct_file, "--what", "hilbert", "--lsop", "generic"]
+
+    def no_lsop(*a, **k):
+        raise GenericityError("no lsop found after 3 draws from seed 1")
+
+    monkeypatch.setattr(cli, "draw_verified_lsop", no_lsop)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == "bglb: generic draw failed: no lsop found after 3 draws from seed 1\n"
+
+    def broken(*a, **k):
+        raise RuntimeError("bug in the draw")
+
+    # a programming error is not an operational one: it must surface
+    monkeypatch.setattr(cli, "draw_verified_lsop", broken)
+    with pytest.raises(RuntimeError, match="bug in the draw"):
+        main(args)
+
+
 def test_compute_needs_coloring_for_g(tmp_path, capsys):
     path = tmp_path / "edge.json"
     path.write_text(json.dumps(to_dict(from_facets([(1, 2)], 2))))
@@ -131,6 +153,24 @@ def test_verify_report_is_schema_valid(oct_file, tmp_path, capsys):
     block = report["reports"][0]
     assert block["instance"] == "oct"
     assert block["provenance"] == {"path": oct_file}
+
+
+def test_verify_is_deterministic(tmp_path):
+    specs = dict(default_suite_specs())
+    paths = []
+    for name in ("cross_d3", "stacked_d4_m2"):
+        paths += ["--in", _write_instance(tmp_path / (name + ".json"), build(specs[name]), name)]
+    args = ["verify", *paths, "--checks", "rank_selected,lemma33,link_sum,equality,flag_symmetry"]
+    texts = []
+    for run in ("a", "b"):
+        out = tmp_path / (run + ".json")
+        assert main(args + ["--out", str(out)]) == 0
+        text = out.read_text()
+        stamp = json.loads(text)["header"]["timestamp"]
+        assert text.count(stamp) == 1
+        texts.append(text.replace(stamp, "TIMESTAMP"))
+    assert texts[0] == texts[1]
+    assert len(json.loads(texts[0])["reports"]) == 2
 
 
 def test_verify_subset_of_checks(oct_file, capsys):

@@ -6,6 +6,7 @@ from bglb.complexes import (ColoredComplex, Coloring, ImproperColoringError, Inv
                             empty_complex, f_to_h, f_vector, flag_vectors, from_dict,
                             from_facets, h_to_f, h_vector, link, link_with_labels, rank_select,
                             star, star_with_labels, to_dict, validate_coloring)
+from bglb.util import subsets
 
 
 def test_face_closure_counts():
@@ -160,6 +161,20 @@ def test_rank_select_matches_oracle(octahedron):
         got = {frozenset(i + 1 for i in range(sel.complex.n) if m >> i & 1)
                for m in sel.complex.face_masks}
         assert got == want
+
+
+def test_selection_h_matches_rank_select(octahedron, stacked42, sd_tetra):
+    for gamma in (octahedron, stacked42, sd_tetra):
+        table = gamma.selection_h
+        assert list(table) == subsets(range(1, gamma.palette + 1))
+        for t_cols, ht in table.items():
+            assert ht == h_vector(rank_select(gamma, t_cols).complex, len(t_cols)), t_cols
+    assert octahedron.selection_h[(1, 3)] == (1, 2, 1)
+
+
+def test_link_h_octahedron(octahedron):
+    # every vertex link of the octahedron is a 4-cycle
+    assert octahedron.link_h == ((1, 2, 1),) * 6
 
 
 def test_rank_select_rejects_unknown_colors(octahedron):
