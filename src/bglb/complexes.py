@@ -276,20 +276,6 @@ def link_with_labels(delta: SimplicialComplex, face) -> tuple[SimplicialComplex,
     return _restrict(tops, tuple(vertices)), tuple(vertices)
 
 
-def star(delta: SimplicialComplex, face) -> SimplicialComplex:
-    """st(F) = {G : F union G in Delta}; facets are the facets containing F."""
-    return star_with_labels(delta, face)[0]
-
-
-def star_with_labels(delta: SimplicialComplex, face) -> tuple[SimplicialComplex, tuple[int, ...]]:
-    fm = mask_of(face)
-    if fm not in delta.face_masks:
-        raise NotAFaceError("not a face: %r" % (tuple(face),))
-    tops = [gm for gm in delta.facet_masks if (gm & fm) == fm]
-    vertices = sorted(set(v for m in tops for v in verts_of(m)))
-    return _restrict(tops, tuple(vertices)), tuple(vertices)
-
-
 def validate_coloring(delta: SimplicialComplex, coloring) -> dict:
     """Report {proper, violations, colors_used, balanced} for a coloring.
 

@@ -52,7 +52,8 @@ class FieldSpec:
         if self.kind == "prime":
             if not _is_probable_prime(self.p):
                 raise ValueError("p=%d is not prime" % self.p)
-            # large p keeps the probabilistic rank computations trustworthy
+            # ranks over F_p are exact; a large p keeps randomly drawn forms
+            # generic (an lsop, a Lefschetz element) with high probability
             if self.p <= 10 ** 6:
                 raise ValueError("p=%d too small; use p > 10**6" % self.p)
 
@@ -167,6 +168,19 @@ class HomologyCertificate:
         return out
 
 
+@ft.lru_cache(maxsize=1)
+def _link_bettis(delta: SimplicialComplex,
+                 fld: FieldSpec) -> tuple[tuple[tuple[int, ...], BettiTable], ...]:
+    """(face, reduced Betti table of its link) for every face, smallest
+    first, the empty face included.
+
+    Both certificates read this scan; caching the last complex lets a run
+    that checks both build each link once."""
+    faces = [verts_of(m) for bucket in delta.faces_by_card for m in bucket]
+    tables = parallel_map(lambda face: _betti_cached(link(delta, face), fld), faces)
+    return tuple(zip(faces, tables))
+
+
 def is_gorenstein_star(delta: SimplicialComplex, fld: FieldSpec = DEFAULT_FIELD) -> HomologyCertificate:
     """Certify that every link has the reduced homology of a sphere of its
     complementary dimension: for each face F, b~_k(lk F) = 1 at
@@ -176,57 +190,29 @@ def is_gorenstein_star(delta: SimplicialComplex, fld: FieldSpec = DEFAULT_FIELD)
     sphere.  Scans faces smallest first and reports the first failure.
     """
     d = delta.dim
-    faces = [f for bucket in delta.faces_by_card for f in bucket]
-    faces_t = [verts_of(m) for m in faces]
-
-    def check_one(face):
-        lk = link(delta, face)
-        table = _betti_cached(lk, fld)
+    scan = _link_bettis(delta, fld)
+    for face, table in scan:
         want_dim = d - len(face)
         for k in range(-1, max(table.dim, want_dim) + 1):
             want = 1 if k == want_dim else 0
             if table.get(k) != want:
-                return {
+                return HomologyCertificate("gorenstein_star", False, d, len(scan), {
                     "face": list(face),
                     "betti": table.as_dict(),
                     "expected": _sphere_profile(want_dim),
-                }
-        return None
-
-    results = parallel_map(check_one, faces_t)
-    for fail in results:
-        if fail is not None:
-            return HomologyCertificate("gorenstein_star", False, d, len(faces_t), fail)
-    return HomologyCertificate("gorenstein_star", True, d, len(faces_t))
+                })
+    return HomologyCertificate("gorenstein_star", True, d, len(scan))
 
 
 def is_cohen_macaulay(delta: SimplicialComplex, fld: FieldSpec = DEFAULT_FIELD) -> HomologyCertificate:
     """Certify b~_i(lk F) = 0 for every face F and every i < dim(lk F)."""
-    faces = [verts_of(m) for bucket in delta.faces_by_card for m in bucket]
-
-    def check_one(face):
-        lk = link(delta, face)
-        table = _betti_cached(lk, fld)
-        for k in range(-1, lk.dim):
+    scan = _link_bettis(delta, fld)
+    for face, table in scan:
+        for k in range(-1, table.dim):
             if table.get(k) != 0:
-                return {
+                return HomologyCertificate("cohen_macaulay", False, delta.dim, len(scan), {
                     "face": list(face),
                     "betti": table.as_dict(),
-                    "expected": {"below": lk.dim},
-                }
-        return None
-
-    results = parallel_map(check_one, faces)
-    for fail in results:
-        if fail is not None:
-            return HomologyCertificate("cohen_macaulay", False, delta.dim, len(faces), fail)
-    return HomologyCertificate("cohen_macaulay", True, delta.dim, len(faces))
-
-
-def euler_characteristic_check(delta: SimplicialComplex, fld: FieldSpec = DEFAULT_FIELD) -> bool:
-    """Alternating face-count sum equals the alternating Betti sum."""
-    table = reduced_betti(delta, fld)
-    counts = [len(b) for b in delta.faces_by_card]
-    lhs = sum((-1) ** k * counts[k + 1] for k in range(-1, delta.dim + 1))
-    rhs = sum((-1) ** k * table.get(k) for k in range(-1, delta.dim + 1))
-    return lhs == rhs
+                    "expected": {"below": table.dim},
+                })
+    return HomologyCertificate("cohen_macaulay", True, delta.dim, len(scan))

@@ -67,8 +67,7 @@ def g_bar_at(h, d: int, i: int) -> int:
 
 @dataclass(frozen=True)
 class BalancedGVector:
-    """g_0..g_d for palette size d, with the h-vector kept for the ratio
-    reading of nonnegativity."""
+    """g_0..g_d for palette size d, with the h-vector they came from."""
 
     d: int
     entries: tuple[int, ...]
@@ -79,17 +78,6 @@ class BalancedGVector:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def ratio_form(self, i: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """((h_{i-1}, C(d,i-1)), (h_i, C(d,i))); g_i >= 0 iff the first
-        ratio is at most the second."""
-        if not 1 <= i <= self.d:
-            raise ValueError("index %d outside 1..%d" % (i, self.d))
-        return (self.h[i - 1], comb(self.d, i - 1)), (self.h[i], comb(self.d, i))
-
-    def ratio_holds(self, i: int) -> bool:
-        (a, b), (c, e) = self.ratio_form(i)
-        return a * e <= c * b
 
     def as_dict(self) -> dict:
         return {"d": self.d, "entries": list(self.entries)}

@@ -86,6 +86,7 @@ def _eliminate(m: np.ndarray, p: int, split: int | None = None) -> tuple[int, in
     return (rank_at_split, r) if split is not None else (r, r)
 
 
+# no bglb code calls this; perfbench/tracer.py wraps it by name when it installs
 def sketch_columns(mat, p: int, target: int, seed: int, fill: int = 32) -> np.ndarray:
     """Random sparse column sketch of `mat` over F_p.
 

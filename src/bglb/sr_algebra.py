@@ -20,13 +20,10 @@ import numpy as np
 
 from . import linalg
 from .complexes import ColoredComplex, SimplicialComplex, flag_vectors, verts_of
-from .homology import DEFAULT_FIELD, FieldSpec
+from .homology import DEFAULT_FIELD, FieldSpec, matrix_rank
 from .util import subsets, weak_compositions
 
 log = logging.getLogger("bglb.sr_algebra")
-
-# above this ratio the modular rank path sketches columns first
-_SKETCH_SLACK = 64
 
 
 class GenericityError(RuntimeError):
@@ -134,19 +131,6 @@ class LinearForm:
         }
 
 
-@dataclass(frozen=True)
-class LsopSpec:
-    """How a parameter system was drawn, plus the forms themselves."""
-
-    mode: str  # colored | generic | mixed
-    forms: tuple[LinearForm, ...]
-    rng_seed: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("colored", "generic", "mixed"):
-            raise ValueError("mode must be colored, generic or mixed")
-
-
 def colored_lsop(gamma: ColoredComplex, colors=None) -> list[LinearForm]:
     """One form per color: the sum of the variables in that class."""
     chosen = sorted(colors) if colors is not None else range(1, gamma.palette + 1)
@@ -226,18 +210,8 @@ def ideal_piece(obj, forms, k: int, fld: FieldSpec = DEFAULT_FIELD,
     return mat
 
 
-def _rank(mat: np.ndarray, fld: FieldSpec, compress: bool) -> int:
-    if fld.kind == "rationals":
-        return linalg.rank_exact(mat)
-    rows, cols = mat.shape
-    if compress and cols > rows + _SKETCH_SLACK:
-        seed = (rows * 1000003 + cols) ^ 0x5EED
-        mat = linalg.sketch_columns(mat, fld.p, rows + _SKETCH_SLACK, seed)
-    return linalg.rank_mod_p(mat, fld.p)
-
-
 def quotient_hilbert(obj, forms, up_to: int, fld: FieldSpec = DEFAULT_FIELD,
-                     use_squarefree: bool = True, compress: bool = True) -> tuple[int, ...]:
+                     use_squarefree: bool = True) -> tuple[int, ...]:
     """Dimensions of (face ring / (forms)) in degrees 0..up_to.
 
     The ring is generated in degree one, so a zero entry forces all later
@@ -255,7 +229,7 @@ def quotient_hilbert(obj, forms, up_to: int, fld: FieldSpec = DEFAULT_FIELD,
             dims.append(0)
         else:
             mat = ideal_piece(obj, forms, k, fld, sf)
-            r = _rank(mat, fld, compress)
+            r = matrix_rank(mat, fld)
             dims.append(len(basis_k) - r)
         if dims[-1] == 0:
             dims.extend([0] * (up_to - k))
@@ -353,15 +327,19 @@ def multigraded_series_check(gamma: ColoredComplex, truncation: int) -> SeriesCh
 def _power_image(obj, omega: LinearForm, from_deg: int, to_deg: int,
                  fld: FieldSpec) -> np.ndarray:
     """Columns: omega^(to-from) * m for m in the degree-from basis, reduced
-    against non-face supports at every step."""
+    against non-face supports at every step.
+
+    Over the rationals nothing is reduced, so entries grow with the power;
+    they are accumulated as Python integers (object dtype) to stay exact."""
     p = fld.p if fld.kind == "prime" else None
+    dtype = np.int64 if p is not None else object
     basis = monomial_basis(obj, from_deg)
-    block = np.eye(len(basis), dtype=np.int64)
+    block = np.eye(len(basis), dtype=dtype)
     for j in range(from_deg, to_deg):
         lo = monomial_basis(obj, j)
         hi = monomial_basis(obj, j + 1)
         maps = _multiply_index_maps(lo, hi, obj)
-        nxt = np.zeros((len(hi), block.shape[1]), dtype=np.int64)
+        nxt = np.zeros((len(hi), block.shape[1]), dtype=dtype)
         for v, c in omega.coeffs:
             src, dst = maps[v]
             if not src.size:
@@ -404,8 +382,8 @@ class LefschetzCertificate:
 
 
 def multiplication_injective(obj, forms, omega: LinearForm, from_deg: int, to_deg: int,
-                             fld: FieldSpec = DEFAULT_FIELD, seed: int | None = None,
-                             compress: bool = True) -> LefschetzCertificate:
+                             fld: FieldSpec = DEFAULT_FIELD,
+                             seed: int | None = None) -> LefschetzCertificate:
     """Decide injectivity of multiplication by omega^(to-from) from the
     degree-from piece to the degree-to piece of the quotient by `forms`."""
     delta, _ = _split(obj)
@@ -418,14 +396,10 @@ def multiplication_injective(obj, forms, omega: LinearForm, from_deg: int, to_de
     p = fld.p if fld.kind == "prime" else None
     low = ideal_piece(obj, forms, from_deg, fld)
     dim_low = low.shape[0]
-    r_low = _rank(low, fld, compress)
+    r_low = matrix_rank(low, fld)
     high = ideal_piece(obj, forms, to_deg, fld)
     image = _power_image(obj, omega, from_deg, to_deg, fld)
     if fld.kind == "prime":
-        rows, cols = high.shape
-        if compress and cols > rows + _SKETCH_SLACK:
-            seed_s = (rows * 1000003 + cols) ^ 0x5EED
-            high = linalg.sketch_columns(high, fld.p, rows + _SKETCH_SLACK, seed_s)
         r_high, r_aug = linalg.rank_and_extension_mod_p(high, image, fld.p)
     else:
         r_high = linalg.rank_exact(high)

@@ -48,21 +48,6 @@ def subsets(items: Sequence) -> list[tuple]:
     return out
 
 
-def compositions(total: int, parts: int):
-    """Ordered tuples of `parts` positive integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def weak_compositions(total: int, parts: int):
     """Ordered tuples of `parts` nonnegative integers summing to `total`."""
     if parts == 0:

@@ -5,7 +5,7 @@ list-based polynomial arithmetic, Fraction elimination.  Nothing here
 imports from the package under test.
 """
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def closure(facets):
@@ -83,12 +83,6 @@ def link_faces(facets, face):
     return {g for g in cl if not (g & face) and (g | face) in cl}
 
 
-def star_faces(facets, face):
-    face = frozenset(face)
-    cl = closure(facets)
-    return {g for g in cl if (g | face) in cl}
-
-
 def rank_select_faces(facets, colors, t_set):
     t_set = frozenset(t_set)
     return {f for f in closure(facets) if {colors[v] for v in f} <= t_set}
@@ -164,3 +158,67 @@ def naive_betti(facets):
     for k in range(dim + 1):
         out[k] = len(by_card[k + 1]) - ranks[k] - ranks[k + 1]
     return out
+
+
+def isomorphic(a, b):
+    """Color-class-preserving isomorphism test by backtracking.
+
+    Colors may be permuted as long as class sizes match; vertices are then
+    matched class by class under facet-set consistency.  Intended for small
+    instances (n <= 30).
+    """
+    if a.n != b.n or len(a.complex.facets) != len(b.complex.facets):
+        return False
+    if sorted(len(f) for f in a.complex.facets) != sorted(len(f) for f in b.complex.facets):
+        return False
+    if a.palette != b.palette:
+        return False
+    classes_a = {c: a.coloring.class_of(c) for c in range(1, a.palette + 1)}
+    classes_b = {c: b.coloring.class_of(c) for c in range(1, b.palette + 1)}
+    facets_b = set(b.complex.facets)
+    edges_a = set(a.complex.faces(2))
+    edges_b = set(b.complex.faces(2))
+
+    def degree(v, edges):
+        return sum(1 for e in edges if v in e)
+
+    deg_a = {v: degree(v, edges_a) for v in range(1, a.n + 1)}
+    deg_b = {v: degree(v, edges_b) for v in range(1, b.n + 1)}
+
+    verts_in_order = [v for c in range(1, a.palette + 1) for v in classes_a[c]]
+
+    def color_maps():
+        for perm in permutations(range(1, b.palette + 1)):
+            if all(len(classes_a[c]) == len(classes_b[perm[c - 1]]) for c in classes_a):
+                yield {c: perm[c - 1] for c in classes_a}
+
+    def extend(i, vmap, used, cmap):
+        if i == len(verts_in_order):
+            mapped = {tuple(sorted(vmap[v] for v in f)) for f in a.complex.facets}
+            return mapped == facets_b
+        v = verts_in_order[i]
+        for w in classes_b[cmap[a.coloring.of(v)]]:
+            if w in used or deg_a[v] != deg_b[w]:
+                continue
+            ok = True
+            for (x, y) in edges_a:
+                if x == v and y in vmap and tuple(sorted((w, vmap[y]))) not in edges_b:
+                    ok = False
+                    break
+                if y == v and x in vmap and tuple(sorted((w, vmap[x]))) not in edges_b:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            vmap[v] = w
+            used.add(w)
+            if extend(i + 1, vmap, used, cmap):
+                return True
+            del vmap[v]
+            used.remove(w)
+        return False
+
+    for cmap in color_maps():
+        if extend(0, {}, set(), cmap):
+            return True
+    return False

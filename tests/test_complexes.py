@@ -5,7 +5,7 @@ from bglb.complexes import (ColoredComplex, Coloring, ImproperColoringError, Inv
                             NotAFaceError, SimplicialComplex, colored, colored_link,
                             empty_complex, f_to_h, f_vector, flag_vectors, from_dict,
                             from_facets, h_to_f, h_vector, link, link_with_labels, rank_select,
-                            star, star_with_labels, to_dict, validate_coloring)
+                            to_dict, validate_coloring)
 from bglb.util import subsets
 
 
@@ -129,15 +129,6 @@ def test_link_relabels_order_preserving(octahedron):
 def test_link_of_nonface_raises(octahedron):
     with pytest.raises(NotAFaceError):
         link(octahedron.complex, (1, 2))  # antipodal pair
-
-
-def test_star_keeps_cone(octahedron):
-    st, labels = star_with_labels(octahedron.complex, (1,))
-    want = oracles.star_faces(octahedron.complex.facets, (1,))
-    got = {frozenset(labels[v - 1] for v in f) for m in st.face_masks
-           for f in [tuple(i + 1 for i in range(st.n) if m >> i & 1)]}
-    assert got == want
-    assert star(octahedron.complex, (1,)).dim == 2
 
 
 def test_rank_select_octahedron(octahedron):

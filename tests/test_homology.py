@@ -4,8 +4,7 @@ import pytest
 import oracles
 from bglb.complexes import empty_complex, from_facets
 from bglb.homology import (DEFAULT_FIELD, BettiTable, FieldSpec, boundary_matrix,
-                           euler_characteristic_check, is_cohen_macaulay, is_gorenstein_star,
-                           matrix_rank, reduced_betti)
+                           is_cohen_macaulay, is_gorenstein_star, matrix_rank, reduced_betti)
 
 RATIONALS = FieldSpec.rationals()
 
@@ -154,10 +153,13 @@ def test_cohen_macaulay_rejects_pinched_disks():
 
 
 def test_euler_characteristic_consistency(octahedron, cycle4, sd_tetra):
-    assert euler_characteristic_check(octahedron.complex)
-    assert euler_characteristic_check(cycle4.complex)
-    assert euler_characteristic_check(sd_tetra.complex)
-    assert euler_characteristic_check(from_facets([(1, 2, 3), (3, 4)], 4))
+    # alternating face counts equal alternating reduced Betti numbers, k = -1 .. dim
+    for delta in (octahedron.complex, cycle4.complex, sd_tetra.complex,
+                  from_facets([(1, 2, 3), (3, 4)], 4)):
+        table = reduced_betti(delta)
+        ks = range(-1, delta.dim + 1)
+        faces = sum((-1) ** k * len(delta.faces_by_card[k + 1]) for k in ks)
+        assert faces == sum((-1) ** k * table.get(k) for k in ks)
 
 
 def test_field_spec_accepts_large_primes():
@@ -174,7 +176,7 @@ def test_field_spec_rejects_bad_fields():
     with pytest.raises(ValueError):
         FieldSpec(p=1018081)  # 1009^2, no factor below the trial-division bound
     with pytest.raises(ValueError):
-        FieldSpec(p=101)  # prime but too small for reliable sketching
+        FieldSpec(p=101)  # prime but too small for random draws to be generic
 
 
 def test_gorenstein_suite_links_are_spheres(gorenstein_certs):

@@ -56,15 +56,6 @@ def test_balanced_g_rejects_long_h():
         balanced_g((1, 2, 1, 1), 2)
 
 
-def test_ratio_form_matches_sign():
-    g = balanced_g((1, 8, 12, 8, 1), 4)
-    for i in range(1, 5):
-        assert g.ratio_holds(i) == (g[i] >= 0)
-    assert g.ratio_form(1) == ((1, 1), (8, 4))
-    with pytest.raises(ValueError):
-        g.ratio_form(0)
-
-
 # -- check results ----------------------------------------------------------
 
 

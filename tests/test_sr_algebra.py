@@ -3,9 +3,10 @@ import pytest
 
 import oracles
 import bglb.sr_algebra as sr
-from bglb.complexes import flag_vectors, from_facets
+from bglb.complexes import flag_vectors, from_facets, h_vector
+from bglb.generators import cross_polytope
 from bglb.homology import DEFAULT_FIELD, FieldSpec
-from bglb.sr_algebra import (GenericityError, LinearForm, LsopSpec, colored_lsop,
+from bglb.sr_algebra import (GenericityError, LinearForm, colored_lsop,
                              draw_verified_lsop, graded_dimension, ideal_piece,
                              lefschetz_injective, monomial_basis, multigraded_series_check,
                              multiplication_injective, quotient_hilbert, random_forms,
@@ -102,12 +103,6 @@ def test_linear_form_serialization():
     form = LinearForm(((2, 5), (4, 1)), colored_class=None)
     assert form.support() == (2, 4)
     assert form.as_dict() == {"coeffs": {"2": 5, "4": 1}, "colored_class": None}
-
-
-def test_lsop_spec_validates_mode():
-    LsopSpec(mode="colored", forms=())
-    with pytest.raises(ValueError):
-        LsopSpec(mode="sideways", forms=())
 
 
 # -- quotient dimensions ----------------------------------------------------
@@ -284,3 +279,30 @@ def test_lefschetz_validates_arguments(cycle4):
         multiplication_injective(cycle4, forms, omega, 2, 1)
     with pytest.raises(ValueError):
         multiplication_injective(cycle4, forms, LinearForm(((9, 1),)), 0, 1)
+
+
+def test_face_ring_ranks_are_never_sketched(monkeypatch):
+    # a column sketch can only lose rank; on the high-degree ideal piece that
+    # inflates r_aug - r_high and can certify a map that is not injective
+    def refuse(*args, **kwargs):
+        raise AssertionError("column sketch called")
+
+    monkeypatch.setattr("bglb.linalg.sketch_columns", refuse)
+    gamma = cross_polytope(4)
+    forms = colored_lsop(gamma)
+    omega = random_forms(gamma, range(1, 5), 1, seed=1)[0]
+    for i in range(3):
+        assert lefschetz_injective(gamma, forms, omega, i, seed=1).injective
+    _, _, verdict = draw_verified_lsop(gamma, seed=1)
+    assert verdict.ok
+    assert verdict.dims[:6] == tuple(h_vector(gamma.complex, 4)) + (0,)
+
+
+def test_power_image_over_rationals_is_exact(cycle4):
+    # omega^6 has entries far beyond int64; reduced mod p they must match the
+    # image computed over F_p with a reduction after every step
+    omega = random_forms(cycle4, (1, 2), 1, RATIONALS, seed=2)[0]
+    exact = sr._power_image(cycle4, omega, 0, 6, RATIONALS)
+    modular = sr._power_image(cycle4, omega, 0, 6, DEFAULT_FIELD)
+    assert all(x >= 0 for x in exact.ravel())
+    assert np.array_equal((exact % DEFAULT_FIELD.p).astype(np.int64), modular)

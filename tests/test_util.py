@@ -1,8 +1,7 @@
 import os
 from unittest import mock
 
-from bglb.util import (compositions, mask_of, parallel_map, subsets, thread_count, verts_of,
-                       weak_compositions)
+from bglb.util import mask_of, parallel_map, subsets, thread_count, verts_of, weak_compositions
 
 
 def test_mask_roundtrip():
@@ -19,12 +18,6 @@ def test_subsets_order_and_count():
     assert len(out) == 8
     sizes = [len(s) for s in out]
     assert sizes == sorted(sizes)
-
-
-def test_compositions_positive():
-    assert sorted(compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
-    assert list(compositions(3, 1)) == [(3,)]
-    assert list(compositions(2, 3)) == []
 
 
 def test_weak_compositions():
